@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-cover race test-race vet lint lint-fix bench bench-store bench-sim bench-ml bench-baseline benchdiff repro scorecard smoke-overload smoke-policies smoke-trace clean
+.PHONY: all check build test test-cover race test-race vet lint lint-fix bench bench-store bench-sim bench-ml bench-baseline benchdiff repro scorecard smoke-overload smoke-policies smoke-trace perfbench-check clean
 
 all: check
 
@@ -10,8 +10,9 @@ all: check
 # full tests, the race detector over the concurrency-heavy packages
 # (cache cluster, proxy/resilience, chaos), coverage with the trace
 # floor, then the end-to-end overload drill, the memctl policy-ablation
-# grid and the golden-trace determinism smoke.
-check: build vet lint test test-race test-cover smoke-overload smoke-policies smoke-trace
+# grid, the golden-trace determinism smoke and the benchmark module's
+# build against the current API.
+check: build vet lint test test-race test-cover smoke-overload smoke-policies smoke-trace perfbench-check
 
 build:
 	$(GO) build ./...
@@ -104,6 +105,12 @@ smoke-policies:
 # Intentional changes regenerate with OFC_REGEN_GOLDEN=1.
 smoke-trace:
 	$(GO) test ./internal/experiments -run 'TestGoldenTrace|TestTraceDrill' -count=1
+
+# perfbench/ is its own Go module (replace ofc => ../), so the root
+# build never compiles it; vet and unit-test it here so an API change
+# that breaks the repository benchmark fails the gate.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

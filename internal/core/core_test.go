@@ -197,11 +197,21 @@ func TestBenefitLabel(t *testing.T) {
 }
 
 // newSystem builds a small OFC stack for integration tests.
-func newSystem(seed int64) *System {
+func newSystem(seed int64) *System { return NewSystem(testOptions(seed)) }
+
+// testOptions is the small deployment the core tests run on.
+func testOptions(seed int64) Options {
 	opts := DefaultOptions()
 	opts.Seed = seed
 	opts.Workers = 3
 	opts.NodeCapacity = 4 << 30
+	return opts
+}
+
+// newChunkedSystem is newSystem with the striping middleware stacked.
+func newChunkedSystem(seed int64) *System {
+	opts := testOptions(seed)
+	opts.Chunking = true
 	return NewSystem(opts)
 }
 
@@ -808,8 +818,7 @@ func TestModelImportRejectsWrongFunction(t *testing.T) {
 }
 
 func TestChunkingLargeFinalObject(t *testing.T) {
-	sys := newSystem(10)
-	sys.RC.EnableChunking()
+	sys := newChunkedSystem(10)
 	sys.Platform.Advisor = advisorAlways{}
 	const size = 25 << 20 // 25 MB > 10 MB cap → 4 chunks
 	fn := &faas.Function{Name: "huge", Tenant: "t", MemoryBooked: 1 << 30, InputType: "none",
@@ -865,8 +874,7 @@ func TestChunkingLargeFinalObject(t *testing.T) {
 }
 
 func TestChunkingIntermediatesDiscardedWithPipeline(t *testing.T) {
-	sys := newSystem(11)
-	sys.RC.EnableChunking()
+	sys := newChunkedSystem(11)
 	sys.Platform.Advisor = advisorAlways{}
 	const size = 18 << 20
 	w := &faas.Function{Name: "cw", Tenant: "t", MemoryBooked: 1 << 30, InputType: "none",

@@ -37,6 +37,11 @@ type Options struct {
 	// storage backend rather than scattered if-branches. No cache
 	// servers, no agents, no locality routing.
 	CacheOff bool
+	// Chunking stacks the proxy's large-object striping middleware
+	// (§6.1 future work): oversized cacheable objects are cached as
+	// stripes instead of bypassing to the RSDS. Off by default, the
+	// faithful-paper configuration.
+	Chunking bool
 	// CoalesceMisses turns on the proxy's singleflight miss path (see
 	// RCLib.EnableMissCoalescing). Off by default: the faithful-paper
 	// configuration lets every miss pay its own RSDS round trip.
@@ -129,13 +134,13 @@ func NewSystem(opts Options) *System {
 	}
 	sys.Pred = NewPredictor(opts.Predictor)
 	sys.Trainer = NewModelTrainer(sys.Pred, env)
-	sys.RC = NewRCLib(env, backend, rsds)
+	sys.RC = NewRCLib(env, backend, rsds, opts.Chunking)
 	if opts.CoalesceMisses {
 		sys.RC.EnableMissCoalescing()
 	}
 	sys.Gov = NewGovernor()
 
-	mv, hasMem := store.MemoryViewOf(backend)
+	mv, hasMem := backend.(store.MemoryView)
 	for _, w := range workers {
 		if kv != nil {
 			kv.AddServer(w, 0) // limit follows the cache grant
@@ -149,7 +154,7 @@ func NewSystem(opts Options) *System {
 	}
 
 	platform.Advisor = sys.Pred
-	pv, _ := store.PlacementViewOf(backend)
+	pv, _ := backend.(store.PlacementView)
 	platform.Router = NewRouter(pv)
 	platform.Observer = sys
 	platform.Governor = sys.Gov

@@ -27,22 +27,19 @@ import (
 // At construction it assembles its middleware stack over the engine it
 // was given:
 //
-//	Instrumented → Chunked (off by default) → Resilient → engine
+//	[Chunked, with Options.Chunking] → Resilient → engine
 //
-// A Durable engine (the cache-off RSDS passthrough) skips the
-// Resilient layer and the whole shadow/persistor protocol: its writes
-// are durable on ack and its reads are not cache hits.
+// A Durable engine (the cache-off RSDS passthrough) skips the whole
+// shadow/persistor protocol: its writes are durable on ack and its
+// reads are not cache hits.
 type RCLib struct {
 	env  *sim.Env
 	rsds *objstore.Store
 
-	// base is the raw storage engine; be is the top of the middleware
-	// stack every data-plane op goes through.
-	base    store.Backend
+	// be is the top of the middleware stack every data-plane op goes
+	// through; resil is its Resilient layer, directly over the engine.
 	be      store.Backend
-	resil   *store.Resilient // nil for durable engines
-	chunked *store.Chunked
-	inst    *store.Instrumented
+	resil   *store.Resilient
 	pv      store.PlacementView // nil when the engine has no placement
 	durable bool
 
@@ -96,10 +93,6 @@ type RCLib struct {
 	coalesce bool
 	flights  [rclibShards]flightShard
 
-	// res holds the resilience constants (the Resilient middleware has
-	// its own copy; the proxy keeps one for PersistRetryDelay).
-	res store.ResilienceConfig
-
 	// Data-plane counters. Single atomics, not a mutex block: every
 	// Get/Put increments a couple of them, and the old statsMu made
 	// those increments the one place the whole cache path serialized.
@@ -126,6 +119,11 @@ type RCLib struct {
 	brownoutSkips    atomic.Int64
 	brownoutBypasses atomic.Int64
 }
+
+// persistRetryDelay is how long a Persistor waits before retrying when
+// the cache is unavailable; the pending write-back is never dropped
+// (acked writes survive in backup replicas).
+const persistRetryDelay = 500 * time.Millisecond
 
 // rclibShards is the hash-partition count of the proxy's pending and
 // in-flight maps (the kvstore coordinator default).
@@ -170,14 +168,14 @@ func shardIdx(key string) int {
 
 // NewRCLib builds the proxy over a storage engine and the RSDS. Any
 // store.Backend works: *kvstore.Cluster for the paper configuration,
-// store.NewPassthrough(rsds) for cache-off mode.
-func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store) *RCLib {
+// store.NewPassthrough(rsds) for cache-off mode. chunking stacks the
+// large-object striping layer (§6.1 future work; off in the
+// faithful-paper configuration).
+func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store, chunking bool) *RCLib {
 	rc := &RCLib{
 		env:       env,
 		rsds:      rsds,
-		base:      backend,
 		pipelines: make(map[string][]string),
-		res:       store.DefaultResilienceConfig(),
 	}
 	for i := range rc.pending {
 		rc.pending[i].m = make(map[string]*sim.Future[struct{}])
@@ -186,18 +184,12 @@ func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store) *RCLib 
 		rc.flights[i].m = make(map[flightKey]*sim.Future[getResult])
 	}
 	rc.durable = store.IsDurable(backend)
-	rc.pv, _ = store.PlacementViewOf(backend)
-
-	// Assemble the middleware stack bottom-up.
-	b := backend
-	if !rc.durable {
-		rc.resil = store.NewResilient(env, b, rc.res)
-		b = rc.resil
+	rc.pv, _ = backend.(store.PlacementView)
+	rc.resil = store.NewResilient(env, backend, store.DefaultResilienceConfig())
+	rc.be = rc.resil
+	if chunking {
+		rc.be = store.NewChunked(rc.resil, store.DefaultChunkSize)
 	}
-	rc.chunked = store.NewChunked(b, store.DefaultChunkSize)
-	rc.inst = store.NewInstrumented(rc.chunked)
-	rc.inst.AttachClock(env)
-	rc.be = rc.inst
 
 	// Consistency webhooks for non-FaaS clients (§6.2).
 	rsds.OnRead(func(key string, m objstore.Meta) {
@@ -220,14 +212,9 @@ func NewRCLib(env *sim.Env, backend store.Backend, rsds *objstore.Store) *RCLib 
 // experiment harnesses).
 func (rc *RCLib) Backend() store.Backend { return rc.be }
 
-// StoreStats reports the raw backend-operation counters from the
-// instrumentation middleware.
-func (rc *RCLib) StoreStats() store.OpStats { return rc.inst.Stats() }
-
-// EnableChunking turns the large-object striping extension on (§6.1
-// future work; off by default to keep the faithful-paper
-// configuration).
-func (rc *RCLib) EnableChunking() { rc.chunked.Enable() }
+// StoreStats reports the backend-operation counters of the Resilient
+// middleware.
+func (rc *RCLib) StoreStats() store.OpStats { return rc.resil.Stats() }
 
 // EnableMissCoalescing turns on singleflight miss fetches: concurrent
 // Gets of one missing key on one node share a single RSDS fetch and at
@@ -237,32 +224,14 @@ func (rc *RCLib) EnableChunking() { rc.chunked.Enable() }
 // before traffic starts.
 func (rc *RCLib) EnableMissCoalescing() { rc.coalesce = true }
 
-// SetResilience replaces the proxy's resilience constants. Call before
-// traffic starts; existing breaker state is reset.
-func (rc *RCLib) SetResilience(cfg ResilienceConfig) {
-	rc.mu.Lock()
-	rc.res = cfg
-	rc.mu.Unlock()
-	if rc.resil != nil {
-		rc.resil.SetConfig(cfg)
-	}
-}
-
 // BreakerState exposes one server's breaker for tests and debugging.
 func (rc *RCLib) BreakerState(node simnet.NodeID) (failures int, open bool) {
-	if rc.resil == nil {
-		return 0, false
-	}
 	return rc.resil.BreakerState(node)
 }
 
 // SetRetryGate installs the shared retry budget on the proxy's
-// resilience middleware (no-op for durable engines, which never retry).
-func (rc *RCLib) SetRetryGate(g store.RetryGate) {
-	if rc.resil != nil {
-		rc.resil.SetRetryGate(g)
-	}
-}
+// resilience middleware. Call before traffic starts.
+func (rc *RCLib) SetRetryGate(g store.RetryGate) { rc.resil.SetRetryGate(g) }
 
 // AdmissionGate is the memory control plane's view of the proxy's
 // write path (implemented by the Governor, routing to the per-node
@@ -304,14 +273,7 @@ func (rc *RCLib) inBrownout() bool { return rc.brownout.Load() }
 // StoreLatencyP99 reports the p99 of recent backend op latencies (the
 // degradation controller's store-health signal).
 func (rc *RCLib) StoreLatencyP99() time.Duration {
-	return rc.inst.LatencyQuantile(0.99)
-}
-
-// persistRetryDelay reads the current retry delay under the lock.
-func (rc *RCLib) persistRetryDelay() time.Duration {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.res.PersistRetryDelay
+	return rc.resil.LatencyQuantile(0.99)
 }
 
 // SetRelaxed marks a key prefix (the paper's bucket/object/account
@@ -385,7 +347,7 @@ func (rc *RCLib) persistOnce(ctx *faas.Ctx, sp *trace.Span) error {
 			// payload survives in backup replicas, so the pending
 			// write-back must NOT be resolved — reschedule the persist
 			// for after the store has had time to recover.
-			rc.env.After(rc.persistRetryDelay(), func() {
+			rc.env.After(persistRetryDelay, func() {
 				rc.schedulePersist(node, key, version)
 			})
 			return nil
@@ -591,7 +553,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 		sp.SetNum("brownoutSkip", 1)
 		return getResult{blob: blob}
 	}
-	if opts.ShouldCache && !unavailable && blob.Size <= rc.base.MaxObjectSize() {
+	if opts.ShouldCache && !unavailable && blob.Size <= rc.resil.MaxObjectSize() {
 		// Admit off the critical path; a failed admission (no space)
 		// is only a lost opportunity. Skipped while the cache is
 		// unavailable — the breaker decides when to come back. The
@@ -626,7 +588,7 @@ func (rc *RCLib) fetchMiss(caller simnet.NodeID, key string, opts faas.PutOpts, 
 //     land in the cache, and a Persistor function is injected to push
 //     the payload asynchronously (write-back).
 //
-// With the chunking middleware enabled the backend's logical ceiling
+// With the chunking middleware stacked the backend's logical ceiling
 // is effectively unbounded, so oversized cacheable objects take the
 // ordinary cache paths and stripe transparently below. With a durable
 // engine every write is a synchronous write-through.
@@ -761,7 +723,7 @@ func (rc *RCLib) schedulePersist(node simnet.NodeID, key string, version uint64)
 			// to the dying master for locality). The acked payload still
 			// lives in backup replicas — retry until persistBody gets to
 			// run and decide.
-			rc.env.After(rc.persistRetryDelay(), func() {
+			rc.env.After(persistRetryDelay, func() {
 				rc.schedulePersist(node, key, version)
 			})
 		}
@@ -885,10 +847,7 @@ type CacheStats struct {
 // every increment site bumps at most one ratio-relevant counter per
 // event.
 func (rc *RCLib) Stats() CacheStats {
-	var rs store.ResilienceStats
-	if rc.resil != nil {
-		rs = rc.resil.Stats()
-	}
+	rs := rc.resil.Stats()
 	return CacheStats{
 		Hits: rc.hits.Load(), LocalHits: rc.localHits.Load(), Misses: rc.misses.Load(),
 		EphemHits: rc.ephemHits.Load(), EphemMisses: rc.ephemMisses.Load(),

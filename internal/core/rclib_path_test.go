@@ -6,6 +6,7 @@ import (
 
 	"ofc/internal/faas"
 	"ofc/internal/kvstore"
+	"ofc/internal/simnet"
 )
 
 // concurrentColdGets fires n simultaneous Gets of one cold key from
@@ -101,4 +102,48 @@ func TestGetHitStatsPathZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { sys.RC.noteGetMiss("img/hot", false) }); n != 0 {
 		t.Errorf("Get-miss stats path allocates %v/op, want 0", n)
 	}
+}
+
+// TestHitPathGate pins the warm read path end to end: the store
+// middleware Read and a proxy Get hit allocate nothing, and the
+// middleware adds no simulation event over the engine read it wraps
+// (the deadline rides inside the kvstore op; no helper process, no
+// timer).
+func TestHitPathGate(t *testing.T) {
+	opts := testOptions(9)
+	opts.DisableCacheAgents = true // no background timers between probes
+	sys := NewSystem(opts)
+	w := sys.WorkerNodes[0]
+	const key = "img/hot"
+	sys.Run(func() {
+		sys.KV.SetMemoryLimit(w, 1<<30)
+		if _, err := sys.Backend.Write(w, key, kvstore.Synthetic(4<<10), nil, w); err != nil {
+			t.Errorf("seed write: %v", err)
+			return
+		}
+		sys.Env.Sleep(time.Second) // let the seed write's disk flushes land
+		be := sys.RC.Backend()
+		// Each window runs one read, then idles past OpTimeout so a
+		// timer the read left behind fires inside it too.
+		events := func(read func(simnet.NodeID, string) (kvstore.Blob, kvstore.Meta, error)) int64 {
+			e0 := sys.Env.Events()
+			if _, _, err := read(w, key); err != nil {
+				t.Errorf("read: %v", err)
+			}
+			sys.Env.Sleep(time.Second)
+			return sys.Env.Events() - e0
+		}
+		if kv, mw := events(sys.KV.Read), events(be.Read); kv == 0 || kv != mw {
+			t.Errorf("middleware Read costs %d sim events, KV.Read %d; want equal", mw, kv)
+		}
+		if raceEnabled {
+			return
+		}
+		if n := testing.AllocsPerRun(200, func() { be.Read(w, key) }); n != 0 {
+			t.Errorf("middleware Read allocates %v/op, want 0", n)
+		}
+		if n := testing.AllocsPerRun(200, func() { sys.RC.Get(w, key, faas.PutOpts{}) }); n != 0 {
+			t.Errorf("Get hit allocates %v/op, want 0", n)
+		}
+	})
 }

@@ -169,3 +169,81 @@ func TestDirtyWriteBackSurvivesCrash(t *testing.T) {
 		}
 	})
 }
+
+// TestGetTimesOutToRSDS is the deadline path: the reader↔master link
+// is slowed past OpTimeout, so every cache attempt overruns its
+// deadline inside the kvstore op. Get serves the RSDS payload, each
+// attempt counts as a timeout, and the master's breaker opens at its
+// threshold.
+func TestGetTimesOutToRSDS(t *testing.T) {
+	sys := newSystem(4)
+	master := sys.WorkerNodes[0]
+	reader := sys.WorkerNodes[1]
+	const key = "in/slow"
+	const size = int64(1 << 20)
+
+	sys.Run(func() {
+		for _, w := range sys.WorkerNodes {
+			sys.KV.SetMemoryLimit(w, 1<<30)
+		}
+		sys.RSDS.Put(sys.CtrlNode, key, kvstore.Synthetic(size), nil, false)
+		if _, err := sys.KV.Write(master, key, kvstore.Synthetic(size),
+			map[string]string{"kind": "input", "dirty": "0"}, master); err != nil {
+			t.Errorf("stage cache copy: %v", err)
+			return
+		}
+		// 25µs × 10⁴ = 250ms per leg, past the 100ms OpTimeout.
+		sys.Net.DegradeLink(reader, master, 1e4, 1)
+
+		blob, err := sys.RC.Get(reader, key, faas.PutOpts{})
+		if err != nil || blob.Size != size {
+			t.Errorf("get over slow link: size=%d err=%v, want the RSDS payload", blob.Size, err)
+		}
+		st := sys.RC.Stats()
+		if st.CacheTimeouts < 1 || st.FallbackReads != 1 {
+			t.Errorf("timeouts=%d fallbackReads=%d, want ≥1 and 1", st.CacheTimeouts, st.FallbackReads)
+		}
+		if _, open := sys.RC.BreakerState(master); !open || st.BreakerTrips != 1 {
+			t.Errorf("breaker open=%v trips=%d, want open after %d timeouts", open, st.BreakerTrips, st.CacheTimeouts)
+		}
+	})
+}
+
+// TestPutTimesOutKeepsAckedWrite is the write side of the deadline
+// path: a final output whose cache master sits behind a slow link
+// times out, falls back to the synchronous RSDS persist, and the acked
+// payload is durably there once the system settles.
+func TestPutTimesOutKeepsAckedWrite(t *testing.T) {
+	sys := newSystem(5)
+	master := sys.WorkerNodes[0]
+	writer := sys.WorkerNodes[1]
+	const key = "out/slow"
+	const size = int64(64 << 10)
+
+	sys.Run(func() {
+		for _, w := range sys.WorkerNodes {
+			sys.KV.SetMemoryLimit(w, 1<<30)
+		}
+		// Establish the key's placement on the master.
+		if _, err := sys.KV.Write(master, key, kvstore.Synthetic(size),
+			map[string]string{"kind": "final", "dirty": "0"}, master); err != nil {
+			t.Error(err)
+			return
+		}
+		sys.Net.DegradeLink(writer, master, 1e4, 1)
+
+		if err := sys.RC.Put(writer, key, faas.Blob{Size: size},
+			faas.PutOpts{Kind: faas.KindFinal, ShouldCache: true}); err != nil {
+			t.Errorf("put over slow link: %v", err)
+			return
+		}
+		if st := sys.RC.Stats(); st.CacheTimeouts < 1 || st.FallbackWrites != 1 {
+			t.Errorf("timeouts=%d fallbackWrites=%d, want ≥1 and 1", st.CacheTimeouts, st.FallbackWrites)
+		}
+		sys.Env.Sleep(3 * time.Second)
+		m, ok := sys.RSDS.MetaOf(key)
+		if !ok || m.IsShadow() || m.Size != size {
+			t.Errorf("acked write lost: ok=%v meta=%+v", ok, m)
+		}
+	})
+}

@@ -106,7 +106,7 @@ func TestRouterByteMajorityLocality(t *testing.T) {
 				t.Fatalf("stage %s: %v", s.key, err)
 			}
 		}
-		pv, _ := store.PlacementViewOf(sys.Backend)
+		pv, _ := sys.Backend.(store.PlacementView)
 		r := NewRouter(pv)
 		req := &faas.Request{Function: fn, InputKeys: []string{"in/a", "in/b", "in/c"}}
 		inv := r.Route(req, sys.Platform.Invokers(), nil)

@@ -63,6 +63,7 @@ var (
 	ErrCrashed       = errors.New("kvstore: server crashed")
 	ErrNoSuchServer  = errors.New("kvstore: node hosts no storage server")
 	ErrNotEnoughSrvs = errors.New("kvstore: not enough live servers for replication")
+	ErrTimeout       = errors.New("kvstore: operation deadline exceeded")
 )
 
 // Config carries the store's timing and sizing constants.

@@ -600,3 +600,37 @@ func TestRestartLosesBufferKeepsDisk(t *testing.T) {
 	})
 	env.Run()
 }
+
+// TestDeadlineTimesOut: ReadBy and WriteBy whose deadline passes
+// during a network leg return ErrTimeout, a timed-out write of a new
+// key gives its placement back, and a generous deadline changes
+// nothing.
+func TestDeadlineTimesOut(t *testing.T) {
+	run(t, func(env *sim.Env, c *Cluster) {
+		if _, err := c.Write(1, "k", Synthetic(1<<20), nil, 1); err != nil {
+			t.Fatalf("seed write: %v", err)
+		}
+		if _, _, err := c.ReadBy(2, "k", env.Now()+time.Nanosecond); !errors.Is(err, ErrTimeout) {
+			t.Errorf("late read: err=%v, want ErrTimeout", err)
+		}
+		if _, err := c.WriteBy(2, "new", Synthetic(1<<20), nil, 2, env.Now()+time.Nanosecond); !errors.Is(err, ErrTimeout) {
+			t.Errorf("late write: err=%v, want ErrTimeout", err)
+		}
+		if _, ok := c.MasterOf("new"); ok {
+			t.Error("timed-out write of a new key kept its placement")
+		}
+		if used, _ := c.Usage(2); used != 0 {
+			t.Errorf("timed-out write left %d bytes on its master", used)
+		}
+		blob, _, err := c.ReadBy(2, "k", env.Now()+time.Second)
+		if err != nil || blob.Size != 1<<20 {
+			t.Errorf("read within deadline: size=%d err=%v", blob.Size, err)
+		}
+		if _, err := c.WriteBy(2, "new", Synthetic(1<<20), nil, 2, env.Now()+time.Second); err != nil {
+			t.Errorf("write within deadline: %v", err)
+		}
+		if m, ok := c.MasterOf("new"); !ok || m != 2 {
+			t.Errorf("write within deadline: master=%v ok=%v", m, ok)
+		}
+	})
+}

@@ -11,12 +11,21 @@ import (
 // durable once all backups have buffered it, matching RAMCloud's
 // commit point. Returns the new version.
 func (c *Cluster) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
+	return c.WriteBy(caller, key, blob, tags, preferred, 0)
+}
+
+// WriteBy is Write with a deadline: once a network leg ends past it
+// the op returns ErrTimeout. A new key that times out before the
+// master commits gives its placement back; after the commit the
+// object stays and only the ack is lost, as with a timed-out RPC.
+// A zero deadline means none.
+func (c *Cluster) WriteBy(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID, deadline sim.Time) (uint64, error) {
 	if c.tracer == nil {
-		return c.doWrite(caller, key, blob, tags, preferred)
+		return c.doWrite(caller, key, blob, tags, preferred, deadline)
 	}
 	sp := c.tracer.Begin(0, 0, "kv.write", caller)
 	sp.SetNum("bytes", blob.Size)
-	ver, err := c.doWrite(caller, key, blob, tags, preferred)
+	ver, err := c.doWrite(caller, key, blob, tags, preferred, deadline)
 	if err != nil {
 		sp.SetNum("err", 1)
 	}
@@ -24,14 +33,17 @@ func (c *Cluster) Write(caller simnet.NodeID, key string, blob Blob, tags map[st
 	return ver, err
 }
 
-// doWrite is Write's body (the wrapper owns the span).
-func (c *Cluster) doWrite(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
+// doWrite is WriteBy's body (the wrapper owns the span).
+func (c *Cluster) doWrite(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID, deadline sim.Time) (uint64, error) {
 	if blob.Size > c.cfg.MaxObjectSize {
 		return 0, ErrTooLarge
 	}
 	p, ok, lerr := c.lookup(caller, key)
 	if lerr != nil {
 		return 0, lerr
+	}
+	if c.late(deadline) {
+		return 0, ErrTimeout
 	}
 	if !ok {
 		var err error
@@ -47,7 +59,11 @@ func (c *Cluster) doWrite(caller simnet.NodeID, key string, blob Blob, tags map[
 
 	// Ship the payload to the master.
 	c.countServerRPC()
-	if err := c.net.TryTransfer(caller, p.master, blob.Size+c.cfg.ControlMsgSize); err != nil {
+	err := c.net.TryTransfer(caller, p.master, blob.Size+c.cfg.ControlMsgSize)
+	if err == nil && c.late(deadline) {
+		err = ErrTimeout
+	}
+	if err != nil {
 		if !ok {
 			c.placeDelete(key)
 		}
@@ -59,6 +75,12 @@ func (c *Cluster) doWrite(caller simnet.NodeID, key string, blob Blob, tags map[
 	var werr error
 	// Master-side processing.
 	env.Sleep(c.cfg.ServeOverhead + c.memCopyTime(blob.Size))
+	if c.late(deadline) {
+		if !ok {
+			c.placeDelete(key)
+		}
+		return 0, ErrTimeout
+	}
 	master.mu.Lock()
 	if master.crashed {
 		master.mu.Unlock()
@@ -161,10 +183,19 @@ func (c *Cluster) doWrite(caller simnet.NodeID, key string, blob Blob, tags map[
 	if err := c.net.TryTransfer(p.master, caller, c.cfg.ControlMsgSize); err != nil && werr == nil {
 		werr = err
 	}
+	if werr == nil && c.late(deadline) {
+		werr = ErrTimeout
+	}
 	if werr != nil {
 		return 0, werr
 	}
 	return version, nil
+}
+
+// late reports whether an op with the given deadline (0 = none) has
+// run past it.
+func (c *Cluster) late(deadline sim.Time) bool {
+	return deadline > 0 && c.env().Now() > deadline
 }
 
 func cloneTags(tags map[string]string) map[string]string {
@@ -181,11 +212,17 @@ func cloneTags(tags map[string]string) map[string]string {
 // Read fetches key's payload from its master, updating the OFC access
 // statistics.
 func (c *Cluster) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
+	return c.ReadBy(caller, key, 0)
+}
+
+// ReadBy is Read with a deadline: once a network leg ends past it the
+// op returns ErrTimeout. A zero deadline means none.
+func (c *Cluster) ReadBy(caller simnet.NodeID, key string, deadline sim.Time) (Blob, Meta, error) {
 	if c.tracer == nil {
-		return c.doRead(caller, key)
+		return c.doRead(caller, key, deadline)
 	}
 	sp := c.tracer.Begin(0, 0, "kv.read", caller)
-	blob, meta, err := c.doRead(caller, key)
+	blob, meta, err := c.doRead(caller, key, deadline)
 	if err != nil {
 		sp.SetNum("err", 1)
 	} else {
@@ -195,11 +232,14 @@ func (c *Cluster) Read(caller simnet.NodeID, key string) (Blob, Meta, error) {
 	return blob, meta, err
 }
 
-// doRead is Read's body (the wrapper owns the span).
-func (c *Cluster) doRead(caller simnet.NodeID, key string) (Blob, Meta, error) {
+// doRead is ReadBy's body (the wrapper owns the span).
+func (c *Cluster) doRead(caller simnet.NodeID, key string, deadline sim.Time) (Blob, Meta, error) {
 	p, ok, lerr := c.lookup(caller, key)
 	if lerr != nil {
 		return Blob{}, Meta{}, lerr
+	}
+	if c.late(deadline) {
+		return Blob{}, Meta{}, ErrTimeout
 	}
 	if !ok {
 		return Blob{}, Meta{}, ErrNotFound
@@ -213,6 +253,9 @@ func (c *Cluster) doRead(caller simnet.NodeID, key string) (Blob, Meta, error) {
 	c.countServerRPC()
 	if err := c.net.TryTransfer(caller, p.master, c.cfg.ControlMsgSize); err != nil {
 		return Blob{}, Meta{}, err
+	}
+	if c.late(deadline) {
+		return Blob{}, Meta{}, ErrTimeout
 	}
 	env.Sleep(c.cfg.ServeOverhead)
 	if caller != p.master {
@@ -236,6 +279,9 @@ func (c *Cluster) doRead(caller simnet.NodeID, key string) (Blob, Meta, error) {
 	// Payload back to the caller.
 	if err := c.net.TryTransfer(p.master, caller, blob.Size+c.cfg.ControlMsgSize); err != nil {
 		return Blob{}, Meta{}, err
+	}
+	if c.late(deadline) {
+		return Blob{}, Meta{}, ErrTimeout
 	}
 	return blob, meta, nil
 }

@@ -28,12 +28,11 @@ var LockedRPC = &Analyzer{
 // park the calling process in the sim scheduler.
 var lockedBlocking = map[string]map[string]bool{
 	"internal/sim": {
-		"Sleep":       true, // Env
-		"Run":         true, // Env
-		"Wait":        true, // Future, WaitGroup
-		"WaitTimeout": true, // Future
-		"Acquire":     true, // Semaphore
-		"Recv":        true, // Queue
+		"Sleep":   true, // Env
+		"Run":     true, // Env
+		"Wait":    true, // Future, WaitGroup
+		"Acquire": true, // Semaphore
+		"Recv":    true, // Queue
 	},
 	"internal/simnet": {
 		"Call":        true,

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Future is a write-once value that simulation processes can wait on.
 // The zero value is not usable; create one with NewFuture.
@@ -12,32 +9,12 @@ type Future[T any] struct {
 	mu      sync.Mutex
 	set     bool
 	val     T
-	waiters []*fwaiter
-}
-
-// fwaiter is one blocked process; fired guards against the double wake
-// a WaitTimeout race (Set vs. timer) would otherwise produce.
-type fwaiter struct {
-	ch    chan struct{}
-	fired bool
+	waiters []chan struct{}
 }
 
 // NewFuture returns an unset future bound to env.
 func NewFuture[T any](env *Env) *Future[T] {
 	return &Future[T]{env: env}
-}
-
-// wake resumes one waiter exactly once.
-func (f *Future[T]) wake(w *fwaiter) {
-	f.mu.Lock()
-	if w.fired {
-		f.mu.Unlock()
-		return
-	}
-	w.fired = true
-	f.mu.Unlock()
-	f.env.unblock()
-	close(w.ch)
 }
 
 // Set resolves the future and wakes all waiters. Setting twice panics:
@@ -53,8 +30,9 @@ func (f *Future[T]) Set(v T) {
 	ws := f.waiters
 	f.waiters = nil
 	f.mu.Unlock()
-	for _, w := range ws {
-		f.wake(w)
+	for _, ch := range ws {
+		f.env.unblock()
+		close(ch)
 	}
 }
 
@@ -74,40 +52,15 @@ func (f *Future[T]) Wait() T {
 		f.mu.Unlock()
 		return v
 	}
-	w := &fwaiter{ch: make(chan struct{})}
-	f.waiters = append(f.waiters, w)
+	ch := make(chan struct{})
+	f.waiters = append(f.waiters, ch)
 	f.mu.Unlock()
 	f.env.block()
-	<-w.ch
+	<-ch
 	f.mu.Lock()
 	v := f.val
 	f.mu.Unlock()
 	return v
-}
-
-// WaitTimeout blocks the calling process until the future resolves or
-// d of virtual time elapses. ok reports whether the value was obtained;
-// on timeout the future stays valid and a later Set still resolves it
-// for other waiters (the operation keeps running in the background, as
-// a timed-out RPC does).
-func (f *Future[T]) WaitTimeout(d time.Duration) (v T, ok bool) {
-	f.mu.Lock()
-	if f.set {
-		v := f.val
-		f.mu.Unlock()
-		return v, true
-	}
-	w := &fwaiter{ch: make(chan struct{})}
-	f.waiters = append(f.waiters, w)
-	f.mu.Unlock()
-	if d >= 0 {
-		f.env.After(d, func() { f.wake(w) })
-	}
-	f.env.block()
-	<-w.ch
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.val, f.set
 }
 
 // WaitGroup mirrors sync.WaitGroup for simulation processes.

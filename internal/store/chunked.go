@@ -30,18 +30,17 @@ type chunkManifest struct {
 // write-back and consistency machinery works on striped objects
 // without knowing they are striped.
 //
-// The layer starts disabled (pure passthrough, preserving the
-// faithful-paper configuration) and is switched on with Enable.
+// The proxy stacks it only when core.Options.Chunking is set (the
+// faithful-paper configuration has no striping).
 type Chunked struct {
 	inner     Backend
 	chunkSize int64
 
 	mu        sync.Mutex
-	enabled   bool
 	manifests map[string]chunkManifest
 }
 
-// NewChunked wraps inner with the (initially disabled) striping layer.
+// NewChunked wraps inner with the striping layer.
 func NewChunked(inner Backend, chunkSize int64) *Chunked {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
@@ -53,23 +52,6 @@ func NewChunked(inner Backend, chunkSize int64) *Chunked {
 	}
 }
 
-// Unwrap implements Wrapper.
-func (c *Chunked) Unwrap() Backend { return c.inner }
-
-// Enable turns striping on.
-func (c *Chunked) Enable() {
-	c.mu.Lock()
-	c.enabled = true
-	c.mu.Unlock()
-}
-
-// Enabled reports whether striping is active.
-func (c *Chunked) Enabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enabled
-}
-
 func chunkKey(key string, i int) string { return fmt.Sprintf("%s#%d", key, i) }
 
 func (c *Chunked) manifest(key string) (chunkManifest, bool) {
@@ -79,20 +61,15 @@ func (c *Chunked) manifest(key string) (chunkManifest, bool) {
 	return m, ok
 }
 
-// MaxObjectSize implements Backend: with striping on, the logical
-// ceiling is effectively unbounded; callers' bypass decisions follow.
-func (c *Chunked) MaxObjectSize() int64 {
-	if c.Enabled() {
-		return 1 << 50
-	}
-	return c.inner.MaxObjectSize()
-}
+// MaxObjectSize implements Backend: the logical ceiling is
+// effectively unbounded; callers' bypass decisions follow.
+func (c *Chunked) MaxObjectSize() int64 { return 1 << 50 }
 
 // Write implements Backend. Oversized payloads are striped through the
 // batch path (one bulk round per involved server); a failed stripe
 // aborts the whole write and evicts the pieces already placed.
 func (c *Chunked) Write(caller simnet.NodeID, key string, blob Blob, tags map[string]string, preferred simnet.NodeID) (uint64, error) {
-	if !c.Enabled() || blob.Size <= c.inner.MaxObjectSize() {
+	if blob.Size <= c.inner.MaxObjectSize() {
 		// Overwriting a previously striped key with a small payload
 		// invalidates the old stripes.
 		if m, ok := c.manifest(key); ok {
@@ -223,17 +200,6 @@ func (c *Chunked) Evict(key string) error {
 		return nil
 	}
 	return c.inner.Evict(key)
-}
-
-// ReadMulti implements BatchBackend (non-striped keys only pass
-// through; the proxy never batch-reads striped logical keys).
-func (c *Chunked) ReadMulti(caller simnet.NodeID, keys []string) []ReadResult {
-	return ReadMulti(c.inner, caller, keys)
-}
-
-// WriteMulti implements BatchBackend.
-func (c *Chunked) WriteMulti(caller simnet.NodeID, items []WriteItem, preferred simnet.NodeID) []WriteResult {
-	return WriteMulti(c.inner, caller, items, preferred)
 }
 
 func cloneTags(tags map[string]string) map[string]string {

@@ -11,9 +11,7 @@ import (
 // mkResilient builds a bare Resilient for white-box breaker/backoff
 // tests (no inner backend needed; only the breaker machinery runs).
 func mkResilient(env *sim.Env, cfg ResilienceConfig) *Resilient {
-	r := &Resilient{env: env}
-	r.reset(cfg)
-	return r
+	return NewResilient(env, nil, cfg)
 }
 
 // TestBreakerTransitions walks the per-server circuit breaker through
@@ -108,6 +106,36 @@ func TestBackoffBounds(t *testing.T) {
 			if d < lo || d > hi {
 				t.Fatalf("backoff(%d)=%v outside [%v, %v]", attempt, d, lo, hi)
 			}
+		}
+	}
+}
+
+// TestLatencyQuantileNearestRank pins the store-latency p99 (the
+// overload controller's store signal) to the ceiling nearest-rank rule
+// shared with metrics.Histogram and trace.Quantile: rank ⌈q·n⌉ over
+// the last latencyWindow samples.
+func TestLatencyQuantileNearestRank(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int // samples 1ms..n ms, recorded in order
+		q    float64
+		want time.Duration
+	}{
+		{"empty", 0, 0.99, 0},
+		{"single sample", 1, 0.99, time.Millisecond},
+		{"n=160 p99 is the 159th", 160, 0.99, 159 * time.Millisecond},
+		{"n=160 p50", 160, 0.5, 80 * time.Millisecond},
+		// 600 samples: the ring keeps 89..600 ms; rank ⌈0.99·512⌉ = 507.
+		{"ring wrapped past 512", 600, 0.99, (89 + 506) * time.Millisecond},
+		{"ring wrapped, max", 600, 1, 600 * time.Millisecond},
+	}
+	for _, c := range cases {
+		r := mkResilient(sim.NewEnv(1), DefaultResilienceConfig())
+		for i := 1; i <= c.n; i++ {
+			r.record(time.Duration(i) * time.Millisecond)
+		}
+		if got := r.LatencyQuantile(c.q); got != c.want {
+			t.Errorf("%s: LatencyQuantile(%v)=%v, want %v", c.name, c.q, got, c.want)
 		}
 	}
 }

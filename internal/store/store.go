@@ -3,10 +3,12 @@
 // the cache agents program against these interfaces, never against a
 // concrete engine: the RAMCloud-like kvstore.Cluster is one Backend,
 // the direct-RSDS Passthrough (cache-off mode) is another, and
-// middleware — resilience, chunking, instrumentation — composes as
-// Backend wrappers. Faa$T and InfiniCache both argue a FaaS cache tier
-// belongs behind an interchangeable interface; this package is that
-// seam for OFC.
+// middleware — Resilient (deadline, retry, breaker, counters) and the
+// optional Chunked striping — composes as Backend wrappers. The
+// capability views below (PlacementView, MemoryView, Durable) are
+// asserted on the engine itself, never through the middleware. Faa$T
+// and InfiniCache both argue a FaaS cache tier belongs behind an
+// interchangeable interface; this package is that seam for OFC.
 package store
 
 import (
@@ -88,62 +90,10 @@ type Durable interface {
 	DurableWrites() bool
 }
 
-// Wrapper is implemented by middleware so capability discovery can
-// walk down to the engine.
-type Wrapper interface {
-	Unwrap() Backend
-}
-
-// unwrapFind walks b's Unwrap chain calling probe on each layer until
-// it returns true.
-func unwrapFind(b Backend, probe func(Backend) bool) bool {
-	for b != nil {
-		if probe(b) {
-			return true
-		}
-		w, ok := b.(Wrapper)
-		if !ok {
-			return false
-		}
-		b = w.Unwrap()
-	}
-	return false
-}
-
-// PlacementViewOf finds the placement capability anywhere in b's
-// middleware chain.
-func PlacementViewOf(b Backend) (PlacementView, bool) {
-	var pv PlacementView
-	found := unwrapFind(b, func(l Backend) bool {
-		v, ok := l.(PlacementView)
-		if ok {
-			pv = v
-		}
-		return ok
-	})
-	return pv, found
-}
-
-// MemoryViewOf finds the memory-control capability anywhere in b's
-// middleware chain.
-func MemoryViewOf(b Backend) (MemoryView, bool) {
-	var mv MemoryView
-	found := unwrapFind(b, func(l Backend) bool {
-		v, ok := l.(MemoryView)
-		if ok {
-			mv = v
-		}
-		return ok
-	})
-	return mv, found
-}
-
-// IsDurable reports whether any layer of b declares durable writes.
+// IsDurable reports whether the engine b declares durable writes.
 func IsDurable(b Backend) bool {
-	return unwrapFind(b, func(l Backend) bool {
-		d, ok := l.(Durable)
-		return ok && d.DurableWrites()
-	})
+	d, ok := b.(Durable)
+	return ok && d.DurableWrites()
 }
 
 // ReadMulti fetches keys through b's native batch path when available,

@@ -43,41 +43,57 @@ func TestPassthroughConformance(t *testing.T) {
 	conformance.Run(t, mkPassthrough, conformance.Traits{CacheTier: false})
 }
 
-// The full proxy middleware stack over the cluster must still honor
-// the backend contract — middleware is transparent.
-func TestMiddlewareStackConformance(t *testing.T) {
+// The resilience middleware over the cluster, alone and under the
+// striping layer, must still honor the backend contract — middleware
+// is transparent.
+func TestResilientConformance(t *testing.T) {
 	mk := func(env *sim.Env) (store.Backend, simnet.NodeID) {
 		inner, caller := mkKV(env)
-		res := store.NewResilient(env, inner, store.DefaultResilienceConfig())
-		ch := store.NewChunked(res, store.DefaultChunkSize)
-		ch.Enable()
-		return store.NewInstrumented(ch), caller
+		return store.NewResilient(env, inner, store.DefaultResilienceConfig()), caller
 	}
 	conformance.Run(t, mk, conformance.Traits{CacheTier: true})
 }
 
+func TestMiddlewareStackConformance(t *testing.T) {
+	mk := func(env *sim.Env) (store.Backend, simnet.NodeID) {
+		inner, caller := mkKV(env)
+		res := store.NewResilient(env, inner, store.DefaultResilienceConfig())
+		return store.NewChunked(res, store.DefaultChunkSize), caller
+	}
+	conformance.Run(t, mk, conformance.Traits{CacheTier: true})
+}
+
+// TestCapabilityDiscovery pins where the capability views live: on the
+// engine. The middleware does not forward them, so callers assert on
+// the engine they built the stack over.
 func TestCapabilityDiscovery(t *testing.T) {
 	env := sim.NewEnv(1)
 	kv, _ := mkKV(env)
-	stack := store.NewInstrumented(store.NewChunked(store.NewResilient(env, kv, store.DefaultResilienceConfig()), 0))
-	if pv, ok := store.PlacementViewOf(stack); !ok || pv == nil {
-		t.Fatal("placement view not found through middleware chain")
+	if pv, ok := kv.(store.PlacementView); !ok || pv == nil {
+		t.Fatal("cluster must expose a placement view")
 	}
-	if mv, ok := store.MemoryViewOf(stack); !ok || mv == nil {
-		t.Fatal("memory view not found through middleware chain")
+	if mv, ok := kv.(store.MemoryView); !ok || mv == nil {
+		t.Fatal("cluster must expose a memory view")
 	}
-	if store.IsDurable(stack) {
+	if _, ok := kv.(store.Deadliner); !ok {
+		t.Fatal("cluster ops must carry deadlines")
+	}
+	if store.IsDurable(kv) {
 		t.Fatal("cache cluster must not be durable")
+	}
+	var stack store.Backend = store.NewChunked(store.NewResilient(env, kv, store.DefaultResilienceConfig()), 0)
+	if _, ok := stack.(store.PlacementView); ok {
+		t.Fatal("middleware must not pose as an engine")
 	}
 
 	pt, _ := mkPassthrough(env)
 	if !store.IsDurable(pt) {
 		t.Fatal("passthrough must be durable")
 	}
-	if _, ok := store.PlacementViewOf(pt); ok {
+	if _, ok := pt.(store.PlacementView); ok {
 		t.Fatal("passthrough must not expose a placement view")
 	}
-	if _, ok := store.MemoryViewOf(pt); ok {
+	if _, ok := pt.(store.MemoryView); ok {
 		t.Fatal("passthrough must not expose a memory view")
 	}
 }
@@ -90,7 +106,6 @@ func TestChunkedStriping(t *testing.T) {
 	kvb, caller := mkKV(env)
 	kv := kvb.(*kvstore.Cluster)
 	ch := store.NewChunked(kvb, store.DefaultChunkSize)
-	ch.Enable()
 	env.Go(func() {
 		const size = 25 << 20 // 4 stripes of 8 MB
 		tags := map[string]string{"kind": "final", "dirty": "1", "version": "7"}
