@@ -67,10 +67,11 @@ bench-sim:
 	$(GO) test -bench 'Sleep|After|Batch|Future|Queue|Cluster|ReadMulti|Transfer' -benchmem -benchtime $(BENCHTIME) -run '^$$' ./internal/sim/ ./internal/simnet/ ./internal/kvstore/
 
 # Invocation critical-path evidence: pointer-walk vs compiled tree
-# inference, forest voting, and the end-to-end memoized Advise lookup
+# inference, forest voting, and the end-to-end memoized Advise lookup,
+# plus the off-path model fits the ModelTrainer retrains with
 # (CI smoke: -benchtime=10x; drop it for real numbers).
 bench-ml:
-	$(GO) test -run '^$$' -bench 'Classify|Advise' -benchmem -benchtime 10x ./internal/mltree ./internal/core
+	$(GO) test -run '^$$' -bench 'Classify|Advise|Fit' -benchmem -benchtime 10x ./internal/mltree ./internal/core
 
 # Regenerate the committed perf snapshot (quick sweep + micro benches).
 bench-baseline:

@@ -213,6 +213,22 @@ func microBenchmarks() []BenchEntry {
 		}
 	})
 
+	// Model retraining off the critical path: one op pretrains a fresh
+	// predictor, i.e. fits a memory and a benefit J48 model on 2000
+	// samples each.
+	add("RetrainJ48", nil, func(b *testing.B) {
+		b.ReportAllocs()
+		fn := &faas.Function{Name: "blur", Tenant: "t", InputType: "image",
+			ArgNames: []string{"sigma"}, MemoryBooked: 2 << 30}
+		env := sim.NewEnv(1)
+		samples := benchSamples(core.NewPredictor(core.DefaultPredictorConfig()).Schema(fn), 2000, 7)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pred := core.NewPredictor(core.DefaultPredictorConfig())
+			core.NewModelTrainer(pred, env).Pretrain(fn, samples)
+		}
+	})
+
 	add("GetHit", nil, func(b *testing.B) {
 		b.ReportAllocs()
 		sys := benchSystem(1)

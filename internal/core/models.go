@@ -54,7 +54,10 @@ func (p *Predictor) ExportModel(fn *faas.Function) ([]byte, error) {
 	return json.Marshal(b)
 }
 
-// ImportModel restores fn's models from ExportModel output.
+// ImportModel restores fn's models from ExportModel output. The
+// imported trees serve from the next Advise on: they are compiled, the
+// model generation moves on and the advice memo is flushed. The next
+// retrain refits both models from fn's own datasets.
 func (p *Predictor) ImportModel(fn *faas.Function, data []byte) error {
 	var b ModelBundle
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -63,25 +66,31 @@ func (p *Predictor) ImportModel(fn *faas.Function, data []byte) error {
 	if b.FunctionID != fn.ID() {
 		return fmt.Errorf("core: bundle is for %s, not %s", b.FunctionID, fn.ID())
 	}
+	var mem, benefit *mltree.Tree
+	var err error
+	if len(b.Memory) > 0 {
+		if mem, err = mltree.UnmarshalTree(b.Memory); err != nil {
+			return err
+		}
+	}
+	if len(b.Benefit) > 0 {
+		if benefit, err = mltree.UnmarshalTree(b.Benefit); err != nil {
+			return err
+		}
+	}
 	st := p.state(fn)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(b.Memory) > 0 {
-		tree, err := mltree.UnmarshalTree(b.Memory)
-		if err != nil {
-			return err
-		}
-		st.memModel = tree
+	if mem != nil {
+		st.memModel, st.memCompiled = mem, mem.Compile()
 	}
-	if len(b.Benefit) > 0 {
-		tree, err := mltree.UnmarshalTree(b.Benefit)
-		if err != nil {
-			return err
-		}
-		st.benefitModel = tree
+	if benefit != nil {
+		st.benefitModel, st.benefitCompiled = benefit, benefit.Compile()
 	}
+	st.memFitLen, st.benefitFitLen = 0, 0
 	st.mature = b.Mature
 	st.maturedAt = b.MaturedAt
+	p.newGenerationLocked(st)
 	return nil
 }
 

@@ -44,13 +44,16 @@ type modelState struct {
 	// Training data.
 	memData     *mltree.Dataset
 	benefitData *mltree.Dataset
-	// Trained models (nil until first train).
-	memModel     mltree.Classifier
-	benefitModel mltree.Classifier
-	// Serving state, rebuilt on every retrain: the compiled (flat,
-	// zero-allocation) forms of the models, the advice memo keyed by
-	// the exact feature-vector bits, and the retrain generation that
-	// scopes the memo's validity.
+	// Trained models (nil until first train), and the dataset lengths
+	// they were fit on. The datasets only grow, so a retrain refits a
+	// model only when its length moved; 0 forces the next refit.
+	memModel      mltree.Classifier
+	benefitModel  mltree.Classifier
+	memFitLen     int
+	benefitFitLen int
+	// Serving state: the compiled (flat, zero-allocation) forms of the
+	// models, the advice memo keyed by the exact feature-vector bits,
+	// and the model generation that scopes the memo's validity.
 	gen             int
 	memCompiled     *mltree.CompiledTree
 	benefitCompiled *mltree.CompiledTree
@@ -233,16 +236,33 @@ func (p *Predictor) advise(req *faas.Request, sp *trace.Span) faas.Advice {
 	return adv
 }
 
+// classifyMemLocked predicts vals' memory class from the compiled
+// model, falling back to the pointer walk only if compilation is
+// unavailable. Callers hold st.mu and have checked st.memModel != nil.
+func (st *modelState) classifyMemLocked(vals []float64) int {
+	if st.memCompiled != nil {
+		return st.memCompiled.Classify(vals)
+	}
+	return st.memModel.Classify(vals)
+}
+
+// newGenerationLocked starts a model generation after the serving
+// models changed: it bumps gen and flushes the advice memo, so stale
+// advice can never outlive the model that produced it. Callers hold
+// st.mu.
+func (p *Predictor) newGenerationLocked(st *modelState) {
+	st.gen++
+	if len(st.advCache) > 0 {
+		st.advCache = nil
+		p.memo.Invalidation()
+	}
+}
+
 // adviseLocked computes advice from the compiled models (falling back
 // to the pointer walk only if compilation is unavailable). Callers
 // hold st.mu.
 func (st *modelState) adviseLocked(iv Intervals, vals []float64) faas.Advice {
-	var k int
-	if st.memCompiled != nil {
-		k = st.memCompiled.Classify(vals)
-	} else {
-		k = st.memModel.Classify(vals)
-	}
+	k := st.classifyMemLocked(vals)
 	mem := iv.UpperBound(k + 1) // conservative next interval
 	should := true
 	benefit := 1.0
@@ -273,8 +293,8 @@ func (p *Predictor) MemoStats() (hits, misses, invalidations int64) {
 	return p.memo.Snapshot()
 }
 
-// Generation returns fn's retrain generation (bumped whenever either
-// model is refit; the advice memo is scoped to it).
+// Generation returns fn's model generation (bumped by every retrain
+// and model import; the advice memo is scoped to it).
 func (p *Predictor) Generation(fn *faas.Function) int {
 	st := p.state(fn)
 	st.mu.Lock()
@@ -314,7 +334,7 @@ func (p *Predictor) PredictRaw(fn *faas.Function, vals []float64) (class int, ok
 	if st.memModel == nil {
 		return 0, false
 	}
-	return st.memModel.Classify(vals), true
+	return st.classifyMemLocked(vals), true
 }
 
 // ModelTrainer ingests completed invocations, maintains the training
@@ -349,7 +369,7 @@ func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
 		// Post-maturation dataset policy (§5.3.3): keep the set small;
 		// only add invocations the model got wrong on the dangerous
 		// side (underprediction) or absurdly wrong on the high side.
-		pred := st.memModel.Classify(s.Vals)
+		pred := st.classifyMemLocked(s.Vals)
 		switch {
 		case pred < trueClass:
 			weight = cfg.UnderWeight
@@ -392,30 +412,32 @@ func (t *ModelTrainer) Observe(fn *faas.Function, req *faas.Request, s Sample) {
 	}
 }
 
-// trainLocked retrains both models from the current datasets. Any
-// refit bumps the serving generation: the compiled forms are rebuilt
-// and the advice memo is flushed, so stale advice can never outlive
-// the model that produced it.
+// trainLocked retrains both models from the current datasets. A model
+// whose dataset has not grown since its last fit is kept as is: J48 is
+// deterministic, so the refit would return the same tree. Any retrain
+// starts a new serving generation, flushing the advice memo.
 func (t *ModelTrainer) trainLocked(st *modelState) {
 	changed := false
-	if st.memData.Len() >= 10 {
-		st.memModel = mltree.NewJ48().Fit(st.memData)
+	if n := st.memData.Len(); n >= 10 {
+		if n != st.memFitLen {
+			st.memModel = mltree.NewJ48().Fit(st.memData)
+			st.memCompiled = compileTree(st.memModel)
+			st.memFitLen = n
+		}
 		st.sinceTrain = 0
 		changed = true
 	}
-	if st.benefitData.Len() >= 10 {
-		st.benefitModel = mltree.NewJ48().Fit(st.benefitData)
+	if n := st.benefitData.Len(); n >= 10 {
+		if n != st.benefitFitLen {
+			st.benefitModel = mltree.NewJ48().Fit(st.benefitData)
+			st.benefitCompiled = compileTree(st.benefitModel)
+			st.benefitFitLen = n
+		}
 		st.benefitSince = 0
 		changed = true
 	}
 	if changed {
-		st.gen++
-		st.memCompiled = compileTree(st.memModel)
-		st.benefitCompiled = compileTree(st.benefitModel)
-		if len(st.advCache) > 0 {
-			st.advCache = nil
-			t.p.memo.Invalidation()
-		}
+		t.p.newGenerationLocked(st)
 		// Control-plane root span (trace 0): retrains have no owning
 		// invocation. Zero-duration — training is off the virtual
 		// clock — but the event and its generation are part of the

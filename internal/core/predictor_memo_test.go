@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"ofc/internal/faas"
 	"ofc/internal/sim"
@@ -130,5 +131,95 @@ func BenchmarkAdviseNoMemo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pred.Advise(req)
+	}
+}
+
+// TestModelImportReplacesServingModel checks that imported models serve
+// at once: a predictor that already memoized advice from its own models
+// must answer with the donor's advice after ImportModel, with the
+// generation moved on and the memo flushed once.
+func TestModelImportReplacesServingModel(t *testing.T) {
+	donor, _, fn := memoFixture(t, false, 300, 7)
+	bundle, err := donor.ExportModel(fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := memoReq(fn, 800)
+	want := donor.Advise(req)
+
+	// The host learned a different function of the same name: six
+	// times the memory and no caching benefit.
+	host := NewPredictor(DefaultPredictorConfig())
+	samples := synthSamples(host.Schema(fn), 300, 7)
+	for i := range samples {
+		samples[i].PeakMem *= 6
+		samples[i].Extract, samples[i].Transform, samples[i].Load = time.Millisecond, 100*time.Millisecond, time.Millisecond
+	}
+	NewModelTrainer(host, sim.NewEnv(1)).Pretrain(fn, samples)
+	before := host.Advise(req)
+	if before == want {
+		t.Fatalf("host and donor already agree (%+v); the test cannot tell the models apart", want)
+	}
+	gen := host.Generation(fn)
+
+	if err := host.ImportModel(fn, bundle); err != nil {
+		t.Fatal(err)
+	}
+	if got := host.Advise(req); got != want {
+		t.Fatalf("advice after import %+v, want the donor's %+v (pre-import advice was %+v)", got, want, before)
+	}
+	if got := host.Generation(fn); got != gen+1 {
+		t.Errorf("generation %d after import, want %d", got, gen+1)
+	}
+	if _, _, inv := host.MemoStats(); inv != 1 {
+		t.Errorf("invalidations=%d after import, want 1", inv)
+	}
+}
+
+// TestBenefitOnlyRetrainKeepsMemoryModel checks the refit-on-growth
+// rule: a retrain triggered by benefit samples alone keeps the memory
+// model (its dataset did not grow) yet still starts a new generation
+// and flushes the memo, exactly as a full retrain does.
+func TestBenefitOnlyRetrainKeepsMemoryModel(t *testing.T) {
+	pred, trainer, fn := memoFixture(t, false, 300, 7)
+	pred.Advise(memoReq(fn, 800)) // populate the memo
+	// A sample the memory model predicts exactly: post-maturation it
+	// joins only the benefit dataset (§5.3.3).
+	var sample Sample
+	for _, s := range synthSamples(pred.Schema(fn), 300, 7) {
+		if k, _ := pred.PredictRaw(fn, s.Vals); k == pred.cfg.Intervals.ClassOf(s.PeakMem) {
+			sample = s
+			break
+		}
+	}
+	if sample.Vals == nil {
+		t.Fatal("no exactly-predicted training sample")
+	}
+	st := pred.state(fn)
+	st.mu.Lock()
+	memModel, benefitModel, memLen := st.memModel, st.benefitModel, st.memData.Len()
+	st.mu.Unlock()
+	gen := pred.Generation(fn)
+
+	for i := 0; i < 25; i++ {
+		trainer.Observe(fn, &faas.Request{Function: fn}, sample)
+	}
+
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.memData.Len() != memLen {
+		t.Fatalf("memory dataset grew %d -> %d; the retrain was not benefit-only", memLen, st.memData.Len())
+	}
+	if st.memModel != memModel {
+		t.Error("benefit-only retrain refit the memory model")
+	}
+	if st.benefitModel == benefitModel {
+		t.Error("benefit-only retrain kept the stale benefit model")
+	}
+	if st.gen != gen+1 {
+		t.Errorf("generation %d after retrain, want %d", st.gen, gen+1)
+	}
+	if _, _, inv := pred.MemoStats(); inv != 1 {
+		t.Errorf("invalidations=%d after retrain, want 1", inv)
 	}
 }

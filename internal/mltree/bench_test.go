@@ -24,6 +24,18 @@ func BenchmarkJ48Fit(b *testing.B) {
 	}
 }
 
+// BenchmarkJ48FitPredictor measures one retrain of a predictor-shaped
+// model (numeric features, 12 memory classes), the fit the
+// ModelTrainer repeats after every few completed invocations.
+func BenchmarkJ48FitPredictor(b *testing.B) {
+	d := predictorDataset(1000, 12, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewJ48().Fit(d)
+	}
+}
+
 // BenchmarkJ48Classify measures the critical-path prediction (§5.1's
 // 1 ms budget; Figure 6) through the pointer-walk representation, on a
 // predictor-shaped tree (numeric features, 128 memory classes).

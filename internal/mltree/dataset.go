@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // AttrKind distinguishes numeric from nominal attributes.
@@ -97,15 +96,6 @@ func (d *Dataset) TotalWeight() float64 {
 	return w
 }
 
-// classCounts returns the weighted class histogram of insts.
-func classCounts(insts []Instance, numClasses int) []float64 {
-	counts := make([]float64, numClasses)
-	for i := range insts {
-		counts[insts[i].Class] += insts[i].Weight
-	}
-	return counts
-}
-
 // majorityClass returns the index of the heaviest class, breaking ties
 // toward the lower index for determinism.
 func majorityClass(counts []float64) int {
@@ -171,22 +161,6 @@ func (d *Dataset) Bootstrap(rng *rand.Rand) *Dataset {
 		out.Instances = append(out.Instances, d.Instances[rng.Intn(len(d.Instances))])
 	}
 	return out
-}
-
-// SortByAttr sorts instances by the given numeric attribute, missing
-// values last.
-func SortByAttr(insts []Instance, attr int) {
-	sort.SliceStable(insts, func(i, j int) bool {
-		a, b := insts[i].Vals[attr], insts[j].Vals[attr]
-		switch {
-		case IsMissing(a):
-			return false
-		case IsMissing(b):
-			return true
-		default:
-			return a < b
-		}
-	})
 }
 
 // Classifier is a trained model that predicts a class for a feature

@@ -35,12 +35,12 @@ func (r *RandomTree) Fit(d *Dataset) Classifier {
 		minLeaf = 1
 	}
 	rng := rand.New(rand.NewSource(r.Seed))
-	b := &treeBuilder{d: d, minLeaf: minLeaf, rng: rng}
+	b := newTreeBuilder(d, minLeaf, 0)
 	b.attrSampler = func() []int {
 		perm := rng.Perm(len(d.Attrs))
 		return perm[:k]
 	}
-	root := b.build(d.Instances, 0)
+	root := b.build(0, d.Len(), 0)
 	return &Tree{root: root, attrs: d.Attrs, n: d.Len()}
 }
 

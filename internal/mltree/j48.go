@@ -1,9 +1,10 @@
 package mltree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -118,21 +119,22 @@ type splitCandidate struct {
 	valid     bool
 }
 
-// evaluateSplit computes the best split on one attribute, C4.5 style:
-// information gain ratio, binary threshold splits for numeric
-// attributes, multiway splits for nominal ones. Missing values are
-// excluded from the gain computation.
-func evaluateSplit(d *Dataset, insts []Instance, attr int, baseEntropy float64, minLeaf float64) splitCandidate {
+// evaluateSplit computes the best split on one attribute over the
+// node's segment [lo,hi), C4.5 style: information gain ratio, binary
+// threshold splits for numeric attributes, multiway splits for nominal
+// ones. Missing values are excluded from the gain computation.
+func (b *treeBuilder) evaluateSplit(lo, hi, attr int, baseEntropy float64) splitCandidate {
 	cand := splitCandidate{attr: attr}
-	numClasses := len(d.Classes)
-	if d.Attrs[attr].Kind == Nominal {
-		k := d.Attrs[attr].NumValues()
+	insts := b.d.Instances
+	numClasses := len(b.d.Classes)
+	if b.d.Attrs[attr].Kind == Nominal {
+		k := b.d.Attrs[attr].NumValues()
 		counts := make([][]float64, k)
 		for i := range counts {
 			counts[i] = make([]float64, numClasses)
 		}
 		var total float64
-		for i := range insts {
+		for _, i := range b.order[lo:hi] {
 			v := insts[i].Vals[attr]
 			if IsMissing(v) {
 				continue
@@ -166,14 +168,12 @@ func evaluateSplit(d *Dataset, insts []Instance, attr int, baseEntropy float64, 
 		return cand
 	}
 
-	// Numeric attribute: sort and scan thresholds between distinct
-	// consecutive values.
-	sorted := make([]Instance, len(insts))
-	copy(sorted, insts)
-	SortByAttr(sorted, attr)
+	// Numeric attribute: the segment is already in attribute order, so
+	// scan thresholds between distinct consecutive values.
+	sorted := b.sorted[attr][lo:hi]
 	// Trim trailing missing values.
 	n := len(sorted)
-	for n > 0 && IsMissing(sorted[n-1].Vals[attr]) {
+	for n > 0 && IsMissing(insts[sorted[n-1]].Vals[attr]) {
 		n--
 	}
 	if n < 2 {
@@ -181,25 +181,27 @@ func evaluateSplit(d *Dataset, insts []Instance, attr int, baseEntropy float64, 
 	}
 	sorted = sorted[:n]
 	var total float64
-	right := make([]float64, numClasses)
-	for i := range sorted {
-		right[sorted[i].Class] += sorted[i].Weight
-		total += sorted[i].Weight
+	left, right := b.left, b.right
+	clear(left)
+	clear(right)
+	for _, i := range sorted {
+		right[insts[i].Class] += insts[i].Weight
+		total += insts[i].Weight
 	}
-	left := make([]float64, numClasses)
 	var leftW float64
 	bestGain, bestThr := -1.0, 0.0
 	candidates := 0
-	for i := 0; i < len(sorted)-1; i++ {
-		w := sorted[i].Weight
-		left[sorted[i].Class] += w
-		right[sorted[i].Class] -= w
+	for j := 0; j < len(sorted)-1; j++ {
+		cur, next := &insts[sorted[j]], &insts[sorted[j+1]]
+		w := cur.Weight
+		left[cur.Class] += w
+		right[cur.Class] -= w
 		leftW += w
-		if sorted[i].Vals[attr] == sorted[i+1].Vals[attr] {
+		if cur.Vals[attr] == next.Vals[attr] {
 			continue
 		}
 		rightW := total - leftW
-		if leftW < minLeaf || rightW < minLeaf {
+		if leftW < b.minLeaf || rightW < b.minLeaf {
 			continue
 		}
 		candidates++
@@ -207,7 +209,7 @@ func evaluateSplit(d *Dataset, insts []Instance, attr int, baseEntropy float64, 
 		gain := baseEntropy - cond
 		if gain > bestGain {
 			bestGain = gain
-			bestThr = (sorted[i].Vals[attr] + sorted[i+1].Vals[attr]) / 2
+			bestThr = (cur.Vals[attr] + next.Vals[attr]) / 2
 		}
 	}
 	// C4.5's MDL correction for numeric attributes: charge the cost of
@@ -220,9 +222,9 @@ func evaluateSplit(d *Dataset, insts []Instance, attr int, baseEntropy float64, 
 	}
 	// Recompute split info for the chosen threshold.
 	var lw float64
-	for i := range sorted {
-		if sorted[i].Vals[attr] <= bestThr {
-			lw += sorted[i].Weight
+	for _, i := range sorted {
+		if insts[i].Vals[attr] <= bestThr {
+			lw += insts[i].Weight
 		}
 	}
 	pl := lw / total
@@ -272,8 +274,8 @@ func (j *J48) Fit(d *Dataset) Classifier {
 	if minLeaf <= 0 {
 		minLeaf = 2
 	}
-	b := &treeBuilder{d: d, minLeaf: minLeaf, maxDepth: j.MaxDepth}
-	root := b.build(d.Instances, 0)
+	b := newTreeBuilder(d, minLeaf, j.MaxDepth)
+	root := b.build(0, d.Len(), 0)
 	if j.Confidence > 0 {
 		prune(root, j.Confidence, d.Attrs)
 	}
@@ -281,6 +283,14 @@ func (j *J48) Fit(d *Dataset) Classifier {
 }
 
 // treeBuilder carries the recursion state for J48 and RandomTree.
+//
+// Instances are addressed by their position in d.Instances. order
+// lists them in dataset order, and sorted[a] lists them by numeric
+// attribute a (missing last, ties in dataset order), sorted once per
+// fit. Every node owns the segment [lo,hi) of each list, and a split
+// regroups the segment stably, so a child's lists are exactly what a
+// fresh stable sort of its own instances would give: every sum runs in
+// the same order as with a per-node sort, and the tree is the same.
 type treeBuilder struct {
 	d        *Dataset
 	minLeaf  float64
@@ -288,45 +298,110 @@ type treeBuilder struct {
 	// attrSampler, when non-nil, returns the candidate attribute set
 	// for a node (RandomTree's per-node random subspace).
 	attrSampler func() []int
-	rng         *rand.Rand
+
+	order  []int32
+	sorted [][]int32 // nil for nominal attributes
+	// Scratch: the child group of each instance under the split being
+	// applied (-1 when its value is missing), the regroup buffer and
+	// write offsets, the numeric scan's class histograms, every
+	// attribute index, and the per-node valid candidates.
+	group       []int32
+	tmp         []int32
+	next        []int
+	left, right []float64
+	allAttrs    []int
+	gains       []splitCandidate
 }
 
-func (b *treeBuilder) build(insts []Instance, depth int) *node {
-	counts := classCounts(insts, len(b.d.Classes))
+// newTreeBuilder presorts d for one fit.
+func newTreeBuilder(d *Dataset, minLeaf float64, maxDepth int) *treeBuilder {
+	n := d.Len()
+	numeric := 0
+	for a := range d.Attrs {
+		if d.Attrs[a].Kind == Numeric {
+			numeric++
+		}
+	}
+	lists := make([]int32, (numeric+3)*n)
+	b := &treeBuilder{
+		d: d, minLeaf: minLeaf, maxDepth: maxDepth,
+		order:    lists[:n:n],
+		sorted:   make([][]int32, len(d.Attrs)),
+		group:    lists[n : 2*n : 2*n],
+		tmp:      lists[2*n : 3*n : 3*n],
+		left:     make([]float64, len(d.Classes)),
+		right:    make([]float64, len(d.Classes)),
+		allAttrs: make([]int, len(d.Attrs)),
+	}
+	for i := range b.order {
+		b.order[i] = int32(i)
+	}
+	for a := range b.allAttrs {
+		b.allAttrs[a] = a
+	}
+	lists = lists[3*n:]
+	for a := range d.Attrs {
+		if d.Attrs[a].Kind != Numeric {
+			continue
+		}
+		s := lists[:n:n]
+		lists = lists[n:]
+		copy(s, b.order)
+		slices.SortFunc(s, func(x, y int32) int {
+			vx, vy := d.Instances[x].Vals[a], d.Instances[y].Vals[a]
+			mx, my := IsMissing(vx), IsMissing(vy)
+			switch {
+			case mx && !my:
+				return 1
+			case my && !mx:
+				return -1
+			case !mx && vx < vy:
+				return -1
+			case !mx && vx > vy:
+				return 1
+			}
+			return cmp.Compare(x, y)
+		})
+		b.sorted[a] = s
+	}
+	return b
+}
+
+// build grows the subtree over the segment [lo,hi).
+func (b *treeBuilder) build(lo, hi, depth int) *node {
+	insts := b.d.Instances
+	counts := make([]float64, len(b.d.Classes))
+	for _, i := range b.order[lo:hi] {
+		counts[insts[i].Class] += insts[i].Weight
+	}
 	nd := &node{attr: -1, counts: counts, majority: majorityClass(counts)}
-	var total, nonZero float64
+	var total float64
 	classesPresent := 0
 	for _, c := range counts {
 		total += c
 		if c > 0 {
 			classesPresent++
-			nonZero = c
 		}
 	}
-	_ = nonZero
 	if classesPresent <= 1 || total < 2*b.minLeaf || (b.maxDepth > 0 && depth >= b.maxDepth) {
 		return nd
 	}
 	baseEntropy := entropy(counts)
 
-	var candidates []int
+	candidates := b.allAttrs
 	if b.attrSampler != nil {
 		candidates = b.attrSampler()
-	} else {
-		candidates = make([]int, len(b.d.Attrs))
-		for i := range candidates {
-			candidates[i] = i
-		}
 	}
 
 	var best splitCandidate
-	var gains []splitCandidate
+	gains := b.gains[:0]
 	for _, a := range candidates {
-		c := evaluateSplit(b.d, insts, a, baseEntropy, b.minLeaf)
+		c := b.evaluateSplit(lo, hi, a, baseEntropy)
 		if c.valid {
 			gains = append(gains, c)
 		}
 	}
+	b.gains = gains
 	if len(gains) == 0 {
 		return nd
 	}
@@ -348,44 +423,75 @@ func (b *treeBuilder) build(insts []Instance, depth int) *node {
 		return nd
 	}
 
-	nd.attr = best.attr
-	nd.threshold = best.threshold
-	if b.d.Attrs[best.attr].Kind == Numeric {
-		var left, right []Instance
-		for i := range insts {
-			v := insts[i].Vals[best.attr]
-			if IsMissing(v) {
-				continue // dropped from children; parent majority covers them
-			}
-			if v <= best.threshold {
-				left = append(left, insts[i])
-			} else {
-				right = append(right, insts[i])
-			}
+	// Group the segment: numeric splits send <= threshold left (0) and
+	// the rest right (1), nominal ones go by category. Instances missing
+	// the split attribute join no child; the parent majority covers them.
+	numeric := b.d.Attrs[best.attr].Kind == Numeric
+	k := 2
+	if !numeric {
+		k = b.d.Attrs[best.attr].NumValues()
+	}
+	sizes := make([]int, k)
+	for _, i := range b.order[lo:hi] {
+		v := insts[i].Vals[best.attr]
+		g := -1
+		switch {
+		case IsMissing(v):
+		case !numeric:
+			g = int(v)
+		case v <= best.threshold:
+			g = 0
+		default:
+			g = 1
 		}
-		if len(left) == 0 || len(right) == 0 {
-			nd.attr = -1
-			return nd
-		}
-		nd.children = []*node{b.build(left, depth+1), b.build(right, depth+1)}
-	} else {
-		k := b.d.Attrs[best.attr].NumValues()
-		parts := make([][]Instance, k)
-		for i := range insts {
-			v := insts[i].Vals[best.attr]
-			if IsMissing(v) {
-				continue
-			}
-			parts[int(v)] = append(parts[int(v)], insts[i])
-		}
-		nd.children = make([]*node, k)
-		for i, p := range parts {
-			if len(p) > 0 {
-				nd.children[i] = b.build(p, depth+1)
-			}
+		b.group[i] = int32(g)
+		if g >= 0 {
+			sizes[g]++
 		}
 	}
+	nd.attr = best.attr
+	nd.threshold = best.threshold
+	if numeric && (sizes[0] == 0 || sizes[1] == 0) {
+		nd.attr = -1
+		return nd
+	}
+	b.regroup(b.order, lo, hi, sizes)
+	for _, s := range b.sorted {
+		if s != nil {
+			b.regroup(s, lo, hi, sizes)
+		}
+	}
+	nd.children = make([]*node, k)
+	start := lo
+	for g, size := range sizes {
+		if size > 0 {
+			nd.children[g] = b.build(start, start+size, depth+1)
+		}
+		start += size
+	}
 	return nd
+}
+
+// regroup stably reorders list[lo:hi] by b.group: group 0 first, then
+// group 1, and so on. Instances in no group are dropped, leaving stale
+// entries after the last group that no child reads.
+func (b *treeBuilder) regroup(list []int32, lo, hi int, sizes []int) {
+	seg := list[lo:hi]
+	next := b.next[:0]
+	pos := 0
+	for _, size := range sizes {
+		next = append(next, pos)
+		pos += size
+	}
+	b.next = next
+	tmp := b.tmp[:pos]
+	for _, i := range seg {
+		if g := b.group[i]; g >= 0 {
+			tmp[next[g]] = i
+			next[g]++
+		}
+	}
+	copy(seg, tmp)
 }
 
 // errorEstimate is the C4.5 pessimistic upper bound on the error rate
